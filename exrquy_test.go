@@ -261,6 +261,44 @@ func TestExternalVariables(t *testing.T) {
 	}
 }
 
+// TestExternalVariablesUnderForcedOrdering runs prolog variables, external
+// and initialized, through engines that force the ordering mode: forcing
+// the mode must keep the prolog's declarations. The reference run binds
+// the external variable by an initialized declaration of the same value.
+func TestExternalVariablesUnderForcedOrdering(t *testing.T) {
+	const prolog = `declare variable $k := 2;
+		`
+	const body = `for $i in doc("auction.xml")//item
+		where count($i/mailbox/mail) >= $k
+		return <item id="{$i/@id}" n="{$n}"/>`
+	for _, mode := range []Ordering{Ordered, Unordered} {
+		eng := New(WithOrdering(mode))
+		eng.LoadXMark("auction.xml", 0.002)
+		res, err := eng.QueryWith(prolog+`declare variable $n external;
+			`+body, map[string]any{"n": 7})
+		if err != nil {
+			t.Fatalf("ordering %v: %v", mode, err)
+		}
+		ref, err := eng.Reference(prolog + `declare variable $n := 7;
+			` + body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := res.Items()
+		want, _ := ref.Items()
+		if len(want) == 0 {
+			t.Fatal("vacuous check: the reference result is empty")
+		}
+		if mode == Unordered {
+			sort.Strings(got)
+			sort.Strings(want)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("ordering %v: engine and reference differ:\n%v\n--\n%v", mode, got, want)
+		}
+	}
+}
+
 func TestDocumentsSorted(t *testing.T) {
 	eng := New()
 	for _, name := range []string{"z.xml", "a.xml", "m.xml", "b.xml"} {

@@ -63,8 +63,8 @@ func signature(n *Node) string {
 	for _, s := range n.Sort {
 		fmt.Fprintf(&sb, "%s.%v.%v,", s.Col, s.Desc, s.EmptyGreatest)
 	}
-	fmt.Fprintf(&sb, "|%s|%d|%d|%d|%d|%d|%s|%s|%s|%d|%d|%d|%s",
-		n.Part, n.BFn, n.Cmp, n.UFn, n.AFn, n.Axis, n.Test, n.URI, n.Name, n.Min, n.Max, n.Ser, n.Disj)
+	fmt.Fprintf(&sb, "|%s|%d|%d|%d|%d|%d|%s|%s|%s|%d|%d|%d|%s|%v",
+		n.Part, n.BFn, n.Cmp, n.UFn, n.AFn, n.Axis, n.Test, n.URI, n.Name, n.Min, n.Max, n.Ser, n.Disj, n.Errs)
 	return sb.String()
 }
 
@@ -107,6 +107,10 @@ func computeSchema(n *Node) []string {
 		return schemaUnion(n.Ins[0].Schema(), n.Ins[1].Schema(), "join")
 	case OpCross:
 		return schemaUnion(n.Ins[0].Schema(), n.Ins[1].Schema(), "cross")
+	case OpValueJoin:
+		requireCol(n, 0, n.LCol, "valuejoin")
+		requireCol(n, 1, n.RCol, "valuejoin")
+		return schemaUnion(n.Ins[0].Schema(), n.Ins[1].Schema(), "valuejoin")
 	case OpRowNum:
 		for _, s := range n.Sort {
 			requireCol(n, 0, s.Col, "rownum")
@@ -265,6 +269,21 @@ func (b *Builder) Select(in *Node, col string) *Node {
 // Join builds an equi-join.
 func (b *Builder) Join(l, r *Node, lcol, rcol string) *Node {
 	return b.mk(Node{Kind: OpJoin, Ins: []*Node{l, r}, LCol: lcol, RCol: rcol})
+}
+
+// ValueJoin pairs the rows of l and r whose key columns satisfy the
+// general comparison l.lcol cmp r.rcol: the existential comparison of
+// XQuery evaluated as a relational join on atomized keys.
+func (b *Builder) ValueJoin(l, r *Node, lcol string, cmp xdm.CmpOp, rcol string) *Node {
+	return b.mk(Node{Kind: OpValueJoin, Ins: []*Node{l, r}, LCol: lcol, Cmp: cmp, RCol: rcol})
+}
+
+// ValueJoinErrors is ValueJoin's error-witness twin: it pairs the rows
+// whose comparison raises a type error (incomparable type classes, failed
+// untypedAtomic casts). Only such buckets are visited, so it is empty and
+// nearly free on keys of one comparable class.
+func (b *Builder) ValueJoinErrors(l, r *Node, lcol string, cmp xdm.CmpOp, rcol string) *Node {
+	return b.mk(Node{Kind: OpValueJoin, Ins: []*Node{l, r}, LCol: lcol, Cmp: cmp, RCol: rcol, Errs: true})
 }
 
 // Cross builds a Cartesian product.
@@ -488,7 +507,7 @@ func PlanStats(root *Node) Stats {
 			s.RowIDs++
 		case OpStep:
 			s.Steps++
-		case OpJoin:
+		case OpJoin, OpValueJoin:
 			s.Joins++
 		}
 	}

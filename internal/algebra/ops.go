@@ -47,6 +47,7 @@ const (
 	OpAttr                    // attribute node construction
 	OpRange                   // integer range expansion (e1 to e2)
 	OpCheckCard               // cardinality guard (zero-or-one & friends)
+	OpValueJoin               // value join: general comparison between two key columns
 )
 
 // String names the operator like the paper does.
@@ -92,6 +93,8 @@ func (k OpKind) String() string {
 		return "range"
 	case OpCheckCard:
 		return "checkcard"
+	case OpValueJoin:
+		return "valuejoin"
 	default:
 		return "?"
 	}
@@ -108,10 +111,8 @@ const (
 	BArithDiv
 	BArithIDiv
 	BArithMod
-	BCmpGen     // general comparison semantics (untyped coerces to the other side)
-	BCmpGenJoin // general comparison inside a value join: type errors relax to false
-	BCmpGenErr  // true iff the general comparison of this pair raises a type error
-	BCmpVal     // value comparison semantics (untyped is string)
+	BCmpGen // general comparison semantics (untyped coerces to the other side)
+	BCmpVal // value comparison semantics (untyped is string)
 	BNodeBefore
 	BNodeIs
 	BAnd
@@ -216,14 +217,14 @@ type Node struct {
 	Rows [][]xdm.Item    // OpLit: row data
 	Proj []ColPair       // OpProject
 	Col  string          // OpSelect: bool column; OpRowID: new column; OpAggr: value column; OpCheckCard: group column
-	LCol string          // OpJoin: left key; OpBinOp: left operand; OpMap1: operand
-	RCol string          // OpJoin: right key; OpBinOp: right operand
+	LCol string          // OpJoin/OpValueJoin: left key; OpBinOp: left operand; OpMap1: operand
+	RCol string          // OpJoin/OpValueJoin: right key; OpBinOp: right operand
 	TCol string          // OpBinOp: third operand (ternary functions only)
 	Res  string          // OpRowNum/OpBinOp/OpMap1/OpAggr: result column
 	Sort []SortSpec      // OpRowNum
 	Part string          // OpRowNum/OpAggr: partition/group column ("" = single group)
 	BFn  BinFn           // OpBinOp
-	Cmp  xdm.CmpOp       // OpBinOp with BCmpGen/BCmpVal
+	Cmp  xdm.CmpOp       // OpBinOp with BCmpGen/BCmpVal; OpValueJoin
 	UFn  UnFn            // OpMap1
 	AFn  AggrFn          // OpAggr
 	Axis xquery.Axis     // OpStep
@@ -234,6 +235,7 @@ type Node struct {
 	Max  int             // OpCheckCard: maximum group cardinality (-1 = unbounded)
 	Ser  int             // OpElem/OpAttr: constructor serial (blocks sharing: constructors create fresh node identity)
 	Disj string          // OpUnion: column on which the compiler asserts the inputs are disjoint ("" = none); drives key inference (§7)
+	Errs bool            // OpValueJoin: emit the pairs whose comparison raises a type error instead of the matching pairs
 
 	// Origin tags the XQuery construct this operator implements; the
 	// engine's profiler aggregates evaluation time by origin to reproduce

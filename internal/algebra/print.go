@@ -27,6 +27,11 @@ func label(n *Node) string {
 		return fmt.Sprintf("join %s=%s", n.LCol, n.RCol)
 	case OpCross:
 		return "cross"
+	case OpValueJoin:
+		if n.Errs {
+			return fmt.Sprintf("valuejoin errors %s%s%s", n.LCol, n.Cmp, n.RCol)
+		}
+		return fmt.Sprintf("valuejoin %s%s%s", n.LCol, n.Cmp, n.RCol)
 	case OpRowNum:
 		keys := make([]string, len(n.Sort))
 		for i, s := range n.Sort {
@@ -51,9 +56,6 @@ func label(n *Node) string {
 		}[n.BFn]
 		if n.BFn == BCmpGen {
 			fn = n.Cmp.String()
-		}
-		if n.BFn == BCmpGenJoin {
-			fn = "join" + n.Cmp.String()
 		}
 		if n.BFn == BCmpVal {
 			fn = "val" + n.Cmp.String()

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/norm"
+	"repro/internal/xmarkq"
 	"repro/internal/xquery"
 )
 
@@ -108,8 +109,8 @@ func TestLetOnlyFLWORHasNoBackmap(t *testing.T) {
 
 func TestJoinRecognitionShape(t *testing.T) {
 	// The Q8 pattern: the where comparison over two independent sides
-	// must compile to a value join (cross of the keyed operand tables),
-	// not to per-pair-iteration lifting.
+	// must compile to a value join between the keyed operand tables, not
+	// to per-pair-iteration lifting.
 	src := `let $s := doc("a.xml")/site
 	for $p in $s/people/person
 	let $a := for $t in $s/closed_auctions/closed_auction
@@ -117,15 +118,48 @@ func TestJoinRecognitionShape(t *testing.T) {
 	          return $t
 	return count($a)`
 	p := compileQuery(t, src, false)
-	joinCmp := false
-	for _, n := range algebra.Nodes(p.Root) {
-		if n.Kind == algebra.OpBinOp && n.BFn == algebra.BCmpGenJoin {
-			joinCmp = true
-		}
-	}
-	if !joinCmp {
+	if countValueJoins(p.Root) == 0 {
 		t.Errorf("comparison not evaluated as a value join:\n%s", algebra.Print(p.Root))
 	}
+	// The join queries of XMark: every implicit join is a value join, and
+	// no comparison runs over a cross product.
+	for _, qn := range []int{8, 9, 10, 11, 12} {
+		q := xmarkq.Get(qn)
+		for _, indiff := range []bool{false, true} {
+			p := compileQuery(t, q.Text, indiff)
+			if countValueJoins(p.Root) == 0 {
+				t.Errorf("%s (indifference %v): no value join", q.Name, indiff)
+			}
+			for _, n := range algebra.Nodes(p.Root) {
+				if !isComparison(n) {
+					continue
+				}
+				for _, in := range n.Ins {
+					for in.Kind == algebra.OpProject || in.Kind == algebra.OpSelect {
+						in = in.Ins[0]
+					}
+					if in.Kind == algebra.OpCross {
+						t.Errorf("%s (indifference %v): %s is fed by a cross product", q.Name, indiff, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+func countValueJoins(root *algebra.Node) int {
+	k := 0
+	for _, n := range algebra.Nodes(root) {
+		if n.Kind == algebra.OpValueJoin {
+			k++
+		}
+	}
+	return k
+}
+
+func isComparison(n *algebra.Node) bool {
+	return n.Kind == algebra.OpValueJoin ||
+		n.Kind == algebra.OpBinOp && (n.BFn == algebra.BCmpGen || n.BFn == algebra.BCmpVal)
 }
 
 func TestOrderByUsesHashBinding(t *testing.T) {

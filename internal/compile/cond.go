@@ -98,16 +98,14 @@ func (c *compiler) generalCmpIters(e *xquery.GeneralCmp, sc *frame) *algebra.Nod
 		return c.b.Distinct(c.b.Select(cmp, "res"), "iter")
 	}
 
-	// Value join between the two (small) keyed operand tables. BCmpGenJoin
-	// relaxes pair-level type errors to false: the join enumerates (a, b)
-	// combinations across iterations, and a combination that never
-	// co-occurs in one iteration must not raise — the same relaxation
-	// Pathfinder inherits from mapping comparisons onto relational joins.
-	pairs := algebra.WithOrigin(c.b.Cross(qa, qb), "join (general comparison)")
-	cmp := algebra.WithOrigin(
-		c.b.BinOp(pairs, algebra.BCmpGenJoin, e.Op, "res", "aval", "bval"),
-		"general comparison")
-	matches := c.b.Distinct(c.b.Select(cmp, "res"), "aiter", "biter")
+	// Value join between the two (small) keyed operand tables. A pair
+	// whose comparison raises a type error does not match here: the join
+	// enumerates (a, b) combinations across iterations, and a combination
+	// that never co-occurs in one iteration must not raise — the same
+	// relaxation Pathfinder inherits from mapping comparisons onto
+	// relational joins. Its ValueJoinErrors twin collects those pairs.
+	vj := algebra.WithOrigin(c.b.ValueJoin(qa, qb, "aval", e.Op, "bval"), "join (general comparison)")
+	matches := c.b.Distinct(vj, "aiter", "biter")
 
 	// Relate each current iteration to its keys on both sides and keep
 	// those whose (aiter, biter) pair matched.
@@ -122,8 +120,8 @@ func (c *compiler) generalCmpIters(e *xquery.GeneralCmp, sc *frame) *algebra.Nod
 	// pairs include an incomparable one and no true one must raise the
 	// type error (existential short-circuiting may hide errors behind a
 	// true pair, but never turn pure errors into false).
-	errCmp := c.b.BinOp(pairs, algebra.BCmpGenErr, e.Op, "eres", "aval", "bval")
-	errPairs := c.b.Distinct(c.b.Select(errCmp, "eres"), "aiter", "biter")
+	errJoin := algebra.WithOrigin(c.b.ValueJoinErrors(qa, qb, "aval", e.Op, "bval"), "join (general comparison)")
+	errPairs := c.b.Distinct(errJoin, "aiter", "biter")
 	errHit := c.b.Semi(triple, errPairs, "aiter", "biter")
 	errIters := c.b.Project(c.b.Distinct(errHit, "iter"), algebra.ColPair{New: "iter", Old: "iter"})
 	errOnly := c.b.Diff(errIters, trueIters, "iter")

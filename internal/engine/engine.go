@@ -595,6 +595,9 @@ func (ex *Exec) EvalOp(n *algebra.Node, ins []*Table) (*Table, error) {
 	case algebra.OpCross:
 		return ex.evalCross(n, ins[0], ins[1])
 
+	case algebra.OpValueJoin:
+		return ex.evalValueJoin(n, ins[0], ins[1])
+
 	case algebra.OpRowNum:
 		return ex.evalRowNum(n, ins[0])
 
@@ -705,88 +708,90 @@ func (ex *Exec) evalSelect(n *algebra.Node, in *Table) (*Table, error) {
 
 // --- Joins and products ---
 
-// JoinIndex hashes the right key column for an equi-join probe: intIdx
-// when every key is an xs:integer (the common case — keys in compiled
-// plans are iteration ids), strIdx otherwise. Flat integer key columns
+// JoinIndex groups the right key column of an equi-join by key (a CSR
+// Grouping): integer keys — the common case, keys in compiled plans are
+// iteration ids — group directly; any other key column first maps each
+// boxed xdm.DistinctKey to a dense integer id. Flat integer key columns
 // skip per-item inspection entirely.
 type JoinIndex struct {
-	intIdx map[int64][]int32
-	strIdx map[string][]int32
+	g      *Grouping
+	strIDs map[string]int64 // nil for integer keys
 }
 
-// BuildJoinIndex indexes a join's right-hand key column.
-func BuildJoinIndex(rk *xdm.Column) *JoinIndex {
+// BuildJoinIndex indexes a join's right-hand key column for probes
+// left-hand lookups.
+func BuildJoinIndex(rk *xdm.Column, probes int) *JoinIndex {
 	if ints, ok := rk.Ints(); ok {
-		idx := make(map[int64][]int32, len(ints))
-		for i, v := range ints {
-			idx[v] = append(idx[v], int32(i))
-		}
-		return &JoinIndex{intIdx: idx}
+		return &JoinIndex{g: GroupKeys(ints, probes)}
 	}
 	if items, ok := rk.RawItems(); ok && allIntegers(items) {
-		idx := make(map[int64][]int32, len(items))
-		for i, it := range items {
-			idx[it.I] = append(idx[it.I], int32(i))
-		}
-		return &JoinIndex{intIdx: idx}
+		return &JoinIndex{g: GroupKeys(iterInts(rk), probes)}
 	}
 	nr := rk.Len()
-	idx := make(map[string][]int32, nr)
-	for i := 0; i < nr; i++ {
+	ids := make(map[string]int64, nr)
+	keys := make([]int64, nr)
+	for i := range keys {
 		k := xdm.DistinctKey(rk.Get(i))
-		idx[k] = append(idx[k], int32(i))
+		id, ok := ids[k]
+		if !ok {
+			id = int64(len(ids))
+			ids[k] = id
+		}
+		keys[i] = id
 	}
-	return &JoinIndex{strIdx: idx}
+	return &JoinIndex{g: GroupKeys(keys, probes), strIDs: ids}
 }
 
 // Probe appends the matching (left, right) row pairs for left rows
 // [lo, hi) to lperm/rperm and returns the extended slices. Against an
 // integer index the probe key is the item's integer payload, whatever the
 // left column's type — exactly the boxed engine's behavior (non-integer
-// items carry payload 0).
+// items carry payload 0). A counting pass sizes the output exactly, so the
+// pair buffers grow at most once.
 func (ix *JoinIndex) Probe(lk *xdm.Column, lo, hi int, lperm, rperm []int32) ([]int32, []int32) {
-	if ix.intIdx != nil {
-		var ints []int64
-		if v, ok := lk.Ints(); ok {
-			ints = v
-		} else if v, ok := lk.Bools(); ok {
-			ints = v
-		}
-		switch {
-		case ints != nil:
-			for i := lo; i < hi; i++ {
-				for _, j := range ix.intIdx[ints[i]] {
+	if ix.strIDs != nil {
+		for i := lo; i < hi; i++ {
+			if id, ok := ix.strIDs[xdm.DistinctKey(lk.Get(i))]; ok {
+				for _, j := range ix.g.Rows(id) {
 					lperm = append(lperm, int32(i))
 					rperm = append(rperm, j)
-				}
-			}
-		default:
-			if items, ok := lk.RawItems(); ok {
-				for i := lo; i < hi; i++ {
-					for _, j := range ix.intIdx[items[i].I] {
-						lperm = append(lperm, int32(i))
-						rperm = append(rperm, j)
-					}
-				}
-			} else {
-				// Typed double/string/node columns have integer payload 0.
-				for i := lo; i < hi; i++ {
-					for _, j := range ix.intIdx[0] {
-						lperm = append(lperm, int32(i))
-						rperm = append(rperm, j)
-					}
 				}
 			}
 		}
 		return lperm, rperm
 	}
+	key := func(int) int64 { return 0 } // typed double/string/node columns: payload 0
+	if ints, ok := lk.Ints(); ok {
+		key = func(i int) int64 { return ints[i] }
+	} else if ints, ok := lk.Bools(); ok {
+		key = func(i int) int64 { return ints[i] }
+	} else if items, ok := lk.RawItems(); ok {
+		key = func(i int) int64 { return items[i].I }
+	}
+	total := 0
 	for i := lo; i < hi; i++ {
-		for _, j := range ix.strIdx[xdm.DistinctKey(lk.Get(i))] {
+		total += len(ix.g.Rows(key(i)))
+	}
+	lperm, rperm = growPooled(lperm, total), growPooled(rperm, total)
+	for i := lo; i < hi; i++ {
+		for _, j := range ix.g.Rows(key(i)) {
 			lperm = append(lperm, int32(i))
 			rperm = append(rperm, j)
 		}
 	}
 	return lperm, rperm
+}
+
+// growPooled returns s with room for n more elements, moving it to a
+// pooled buffer (and recycling the old one) when it must grow.
+func growPooled(s []int32, n int) []int32 {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := xdm.GetInt32s(len(s) + n)[:len(s)]
+	copy(out, s)
+	xdm.PutInt32s(s)
+	return out
 }
 
 // MaterializeJoin builds the join output table from row-pair
@@ -820,8 +825,8 @@ const probeChunk = 1 << 15
 
 func (ex *Exec) evalJoin(n *algebra.Node, l, r *Table) (*Table, error) {
 	lk, rk := l.Col(n.LCol), r.Col(n.RCol)
-	ix := BuildJoinIndex(rk)
 	nl := lk.Len()
+	ix := BuildJoinIndex(rk, nl)
 	var lperm, rperm []int32
 	for lo := 0; lo < nl; lo += probeChunk {
 		hi := lo + probeChunk
@@ -1063,6 +1068,14 @@ func (ex *Exec) evalSemiDiff(n *algebra.Node, l, r *Table) (*Table, error) {
 	}
 	want := n.Kind == algebra.OpSemi
 	lrows, rrows := l.NumRows(), r.NumRows()
+	if rrows == 0 || lrows == 0 {
+		// Nothing to hash: a semijoin keeps no row, a difference every row
+		// (the usual fate of a value join's empty error-witness side).
+		if want {
+			return l.filter(nil), nil
+		}
+		return NewTableFromCols(l.Cols, append([]*xdm.Column(nil), l.Data...)), nil
+	}
 	buf := xdm.GetInt32s(lrows)
 	keep := buf[:0]
 

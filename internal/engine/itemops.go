@@ -64,12 +64,11 @@ func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 
 // typedBinOp evaluates the arithmetic/comparison kernels over flat
 // columns without boxing a single Item: integer×integer arithmetic and
-// comparisons (the value-join enumeration kernels of Q8/Q9-class plans),
-// and boolean×boolean conjunction/disjunction. ok=false means no typed
-// kernel applies and the caller should run the boxed loop. The kernels
-// replicate xdm.Arith/CompareValue exactly: integer comparisons go
-// through the double projection, div yields a double, idiv/mod report
-// the xdm division-by-zero error.
+// comparisons, and boolean×boolean conjunction/disjunction. ok=false
+// means no typed kernel applies and the caller should run the boxed
+// loop. The kernels replicate xdm.Arith/CompareValue exactly: integer
+// comparisons go through the double projection, div yields a double,
+// idiv/mod report the xdm division-by-zero error.
 func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool, error) {
 	if lb, ok := l.Bools(); ok {
 		rb, ok := r.Bools()
@@ -157,7 +156,7 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 			out[i] = float64(li[i]) / float64(ri[i])
 		}
 		return xdm.DoubleColumn(out), true, nil
-	case algebra.BCmpGen, algebra.BCmpGenJoin, algebra.BCmpVal:
+	case algebra.BCmpGen, algebra.BCmpVal:
 		out := xdm.GetInts(len(li))
 		for i := range li {
 			if err := poll(i); err != nil {
@@ -185,14 +184,6 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 			} else {
 				out[i] = 0
 			}
-		}
-		return xdm.BoolColumn(out), true, nil
-	case algebra.BCmpGenErr:
-		// Integer pairs are always comparable: the error witness is
-		// constant false.
-		out := xdm.GetInts(len(li))
-		for i := range out {
-			out[i] = 0
 		}
 		return xdm.BoolColumn(out), true, nil
 	default:
@@ -259,18 +250,6 @@ func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 			return xdm.Item{}, err
 		}
 		return xdm.NewBool(ok), nil
-	case algebra.BCmpGenJoin:
-		// Value-join pair enumeration: incomparable pairs do not match
-		// here; BCmpGenErr flags them so the compiler can raise the type
-		// error for iterations in which no true pair exists.
-		ok, err := xdm.CompareGeneral(a, b, n.Cmp)
-		if err != nil {
-			return xdm.False, nil
-		}
-		return xdm.NewBool(ok), nil
-	case algebra.BCmpGenErr:
-		_, err := xdm.CompareGeneral(a, b, n.Cmp)
-		return xdm.NewBool(err != nil), nil
 	case algebra.BCmpVal:
 		ok, err := xdm.CompareValue(a, b, n.Cmp)
 		if err != nil {

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/xdm"
@@ -11,21 +11,29 @@ import (
 )
 
 // StepGroup is the per-iteration work of one step evaluation: the
-// iteration id and, per fragment, the sorted duplicate-free context set.
-// Groups appear in first-occurrence order of their iteration and FragIDs
-// in ascending (global document) order, so concatenating per-group scan
-// results reproduces the serial operator output exactly.
+// iteration id and its context nodes, one sorted duplicate-free preorder
+// set per fragment. Groups appear in first-occurrence order of their
+// iteration and Frags in ascending (global document) order, so
+// concatenating per-group scan results reproduces the serial operator
+// output exactly.
 type StepGroup struct {
-	Iter    int64
-	FragIDs []uint32
-	ByFrag  map[uint32][]int32
+	Iter  int64
+	Frags []FragCtx
+}
+
+// FragCtx is one fragment's share of a step group's context set.
+type FragCtx struct {
+	Frag uint32
+	Ctx  []int32 // ascending, duplicate-free preorder ranks
 }
 
 // CollectStepGroups groups step context nodes by iteration (and fragment
 // within each iteration), sorting and deduplicating each context set. It
 // is the preparation phase of evalStep, shared with the parallel executor.
+// A CSR grouping of the iteration column orders the contexts group by
+// group; every group's contexts and fragment runs then live in shared flat
+// arrays, so the allocation count does not grow with the group count.
 func CollectStepGroups(in *Table) ([]StepGroup, error) {
-	itc := in.Col("iter")
 	itemCol := in.Col("item")
 	rows := in.NumRows()
 	// A flat node column needs no per-row kind checks; the boxed fallback
@@ -44,37 +52,68 @@ func CollectStepGroups(in *Table) ([]StepGroup, error) {
 			return nil, fmt.Errorf("path step over atomic value %s", itemCol.Get(0).Kind)
 		}
 	}
-	iters := iterInts(itc)
-	idx := make(map[int64]int)
-	var groups []StepGroup
+	iters := iterInts(in.Col("iter"))
+	grp := GroupKeys(iters, rows)
+
+	// Pass 1: per group, in first-occurrence order, its node ids as
+	// (frag, pre) words, sorted and deduplicated in place, then packed
+	// behind the previous group's; count the fragment runs.
+	groups := make([]StepGroup, 0, grp.Len())
+	ends := make([]int32, 0, grp.Len()) // end of each group's packed ids
+	ids := make([]uint64, rows)
+	runs, kept := 0, 0
 	for r := 0; r < rows; r++ {
-		k := iters[r]
-		gi, ok := idx[k]
-		if !ok {
-			gi = len(groups)
-			idx[k] = gi
-			groups = append(groups, StepGroup{Iter: k, ByFrag: make(map[uint32][]int32)})
+		g := grp.Rows(iters[r])
+		if g[0] != int32(r) {
+			continue // not the iteration's first occurrence
 		}
-		g := &groups[gi]
-		var id xdm.NodeID
-		if flat {
-			id = nodes[r]
-		} else {
-			id = boxed[r].N
+		seg := ids[kept : kept+len(g)]
+		for x, row := range g {
+			id := nodeAt(nodes, boxed, row)
+			seg[x] = uint64(id.Frag)<<32 | uint64(uint32(id.Pre))
 		}
-		if _, seen := g.ByFrag[id.Frag]; !seen {
-			g.FragIDs = append(g.FragIDs, id.Frag)
+		if len(seg) > 1 {
+			slices.Sort(seg)
+			seg = slices.Compact(seg)
 		}
-		g.ByFrag[id.Frag] = append(g.ByFrag[id.Frag], id.Pre)
+		for x := range seg {
+			if x == 0 || seg[x]>>32 != seg[x-1]>>32 {
+				runs++
+			}
+		}
+		kept += len(seg)
+		groups = append(groups, StepGroup{Iter: iters[r]})
+		ends = append(ends, int32(kept))
 	}
+
+	// Pass 2: cut the packed ids into each group's fragment runs.
+	pres := make([]int32, kept)
+	frags := make([]FragCtx, 0, runs)
+	start := 0
 	for gi := range groups {
-		g := &groups[gi]
-		sort.Slice(g.FragIDs, func(a, b int) bool { return g.FragIDs[a] < g.FragIDs[b] })
-		for fid, ctx := range g.ByFrag {
-			g.ByFrag[fid] = DedupSorted(ctx)
+		end := int(ends[gi])
+		first := len(frags)
+		for x := start; x < end; x++ {
+			pres[x] = int32(uint32(ids[x]))
+			if x == start || ids[x]>>32 != ids[x-1]>>32 {
+				frags = append(frags, FragCtx{Frag: uint32(ids[x] >> 32), Ctx: pres[x:x]})
+			}
+			f := &frags[len(frags)-1]
+			f.Ctx = f.Ctx[:len(f.Ctx)+1]
 		}
+		groups[gi].Frags = frags[first:len(frags):len(frags)]
+		start = end
 	}
 	return groups, nil
+}
+
+// nodeAt returns row's node from the flat column, or from the boxed
+// fallback when the column is not flat.
+func nodeAt(nodes []xdm.NodeID, boxed []xdm.Item, row int32) xdm.NodeID {
+	if boxed != nil {
+		return boxed[row].N
+	}
+	return nodes[row]
 }
 
 // evalStep implements the XPath step operator ⤋ax::nt with a staircase
@@ -99,12 +138,11 @@ func (ex *Exec) evalStep(n *algebra.Node, in *Table) (*Table, error) {
 				return nil, err
 			}
 		}
-		for _, fid := range g.FragIDs {
-			f := ex.store.Frag(fid)
-			res := AxisScan(f, g.ByFrag[fid], n.Axis, n.Test)
+		for _, fc := range g.Frags {
+			res := AxisScan(ex.store.Frag(fc.Frag), fc.Ctx, n.Axis, n.Test)
 			for _, pre := range res {
 				outIter = append(outIter, g.Iter)
-				outItem = append(outItem, xdm.NodeID{Frag: fid, Pre: pre})
+				outItem = append(outItem, xdm.NodeID{Frag: fc.Frag, Pre: pre})
 			}
 		}
 	}
@@ -117,16 +155,8 @@ func (ex *Exec) evalStep(n *algebra.Node, in *Table) (*Table, error) {
 // DedupSorted sorts preorder ranks ascending and removes duplicates,
 // reusing the input slice's backing array.
 func DedupSorted(pres []int32) []int32 {
-	sort.Slice(pres, func(a, b int) bool { return pres[a] < pres[b] })
-	out := pres[:0]
-	var last int32 = -1
-	for _, p := range pres {
-		if p != last {
-			out = append(out, p)
-			last = p
-		}
-	}
-	return out
+	slices.Sort(pres)
+	return slices.Compact(pres)
 }
 
 // ScanRegion is one pruned scan interval of a descendant(-or-self) axis

@@ -75,7 +75,7 @@ func inferRequired(root *algebra.Node) map[*algebra.Node]colReq {
 			}
 			in.add(n.Col, useValue)
 
-		case algebra.OpJoin, algebra.OpCross:
+		case algebra.OpJoin, algebra.OpCross, algebra.OpValueJoin:
 			l, r := get(n.Ins[0]), get(n.Ins[1])
 			for c, k := range R {
 				if n.Ins[0].HasCol(c) {
@@ -84,7 +84,7 @@ func inferRequired(root *algebra.Node) map[*algebra.Node]colReq {
 					r.add(c, k)
 				}
 			}
-			if n.Kind == algebra.OpJoin {
+			if n.Kind != algebra.OpCross {
 				l.add(n.LCol, useValue)
 				r.add(n.RCol, useValue)
 			}
@@ -289,10 +289,14 @@ func inferProps(root *algebra.Node) map[*algebra.Node]propMap {
 		case algebra.OpBinOp, algebra.OpMap1:
 			copyFrom(in(0), n.Ins[0].Schema())
 
-		case algebra.OpJoin:
+		case algebra.OpJoin, algebra.OpValueJoin:
+			// A side keeps its unique columns when the other side's key is
+			// unique — for an equi-join only: a value join's comparison may
+			// be a range or != and match many rows per key.
+			equi := n.Kind == algebra.OpJoin
 			lp, rp := in(0), in(1)
-			lKeyUnique := lp[n.LCol].unique
-			rKeyUnique := rp[n.RCol].unique
+			lKeyUnique := equi && lp[n.LCol].unique
+			rKeyUnique := equi && rp[n.RCol].unique
 			for c, cp := range lp {
 				cp.unique = cp.unique && rKeyUnique
 				p[c] = cp

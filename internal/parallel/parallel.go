@@ -238,6 +238,9 @@ func (e *executor) parOp(n *algebra.Node, ins []*engine.Table) (*opResult, error
 	case algebra.OpMap1:
 		return e.parMap1(n, ins[0])
 	}
+	// Every other kind runs its serial kernel between the fork and the
+	// join — the value join among them: it sorts its right side once, and
+	// its output is the (small) set of matching key pairs.
 	return nil, nil
 }
 
@@ -397,9 +400,9 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 	totalWork := 0
 	for gi := range groups {
 		g := &groups[gi]
-		for _, fid := range g.FragIDs {
-			f := e.ex.Store().Frag(fid)
-			s := &slot{g: g, fid: fid, frag: f, ctx: g.ByFrag[fid]}
+		for _, fc := range g.Frags {
+			f := e.ex.Store().Frag(fc.Frag)
+			s := &slot{g: g, fid: fc.Frag, frag: f, ctx: fc.Ctx}
 			if isDesc {
 				s.regions = engine.StaircaseRegions(f, s.ctx, n.Axis)
 				for _, reg := range s.regions {
@@ -525,7 +528,7 @@ func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*opResult, erro
 	if cs == nil {
 		return nil, nil
 	}
-	ix := engine.BuildJoinIndex(rk)
+	ix := engine.BuildJoinIndex(rk, lk.Len())
 	type part struct{ lperm, rperm []int32 }
 	parts := make([]part, len(cs))
 	tasks := make([]func() error, len(cs))

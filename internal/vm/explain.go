@@ -123,7 +123,7 @@ func inferKinds(n *algebra.Node, ins *instr, kindsOf map[*algebra.Node][]colType
 			return k
 		}
 		return unknowns(len(n.Schema()))
-	case algebra.OpJoin, algebra.OpCross:
+	case algebra.OpJoin, algebra.OpCross, algebra.OpValueJoin:
 		l, r := in(0), in(1)
 		if l == nil || r == nil {
 			return unknowns(len(n.Schema()))

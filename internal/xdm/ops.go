@@ -111,17 +111,22 @@ func CompareGeneral(a, b Item, op CmpOp) (bool, error) {
 
 func coerceGeneral(a, b Item) (Item, Item, error) {
 	if a.Kind == KUntyped && b.Kind != KUntyped {
-		c, err := coerceUntyped(a, b.Kind)
+		c, err := CastUntyped(a, b.Kind)
 		return c, b, err
 	}
 	if b.Kind == KUntyped && a.Kind != KUntyped {
-		c, err := coerceUntyped(b, a.Kind)
+		c, err := CastUntyped(b, a.Kind)
 		return a, c, err
 	}
 	return a, b, nil
 }
 
-func coerceUntyped(u Item, target Kind) (Item, error) {
+// CastUntyped coerces an xs:untypedAtomic operand of a general comparison
+// to the type class of the other operand's kind target: xs:double for a
+// numeric target, xs:boolean for a boolean one ("true"/"1", "false"/"0"),
+// xs:string otherwise. A value join casts each untyped key once through
+// it, so its error behaviour matches CompareGeneral's by construction.
+func CastUntyped(u Item, target Kind) (Item, error) {
 	switch {
 	case target.IsNumeric():
 		f, err := u.AsDouble()
